@@ -45,7 +45,21 @@ ProcessId Net::spawn_process_in_group(runtime::GroupId gid, std::string name,
         body();
         mark_terminated(sched_->current());
       });
+  confine(pid);
   return pid;
+}
+
+void Net::confine(ProcessId pid) {
+  if (!sched_->parallel_mode()) return;
+  const runtime::GroupId gid = sched_->group_of(pid);
+  runtime::GroupId bound = kUnboundGroup;
+  if (bound_group_.compare_exchange_strong(bound, gid) || bound == gid)
+    return;
+  SCRIPT_PANIC("csp::Net used from scheduler group " + std::to_string(gid) +
+               " (process " + sched_->name_of(pid) + ") but bound to group " +
+               std::to_string(bound) +
+               ": all communicators of one Net must share a group in "
+               "parallel mode (one Net per group)");
 }
 
 bool Net::is_terminated(ProcessId pid) const {
@@ -363,7 +377,8 @@ bool Net::op_matches(const PendingOp& parked, Dir my_dir, ProcessId me,
 std::vector<PendingOp*> Net::find_matches(
     Dir my_dir, ProcessId me, ProcessId my_peer,
     const std::vector<ProcessId>& my_peer_set, const std::string& tag,
-    std::type_index type) const {
+    std::type_index type) {
+  confine(me);
   std::vector<PendingOp*> out;
   const auto bucket = pending_.find(tag);
   if (bucket == pending_.end()) return out;
@@ -458,14 +473,6 @@ Message Net::complete_with(PendingOp* parked, Dir my_dir, Message my_value) {
   if (my_dir == Dir::Recv) sched_->causal_edge(parked->owner, me, "msg");
   const ProcessId woken =
       parked->group != nullptr ? parked->group->owner : parked->owner;
-  // A Net's matching tables are unlocked: every communicator of one Net
-  // must live in the same scheduler group so rendezvous never crosses a
-  // worker. The parallel scheduler pins whole groups to workers, so this
-  // holds by construction when processes are placed via
-  // spawn_process_in_group; a mixed-group rendezvous is a placement bug.
-  SCRIPT_ASSERT(!sched_->parallel_mode() ||
-                    sched_->group_of(me) == sched_->group_of(woken),
-                "csp::Net rendezvous across scheduler groups");
   sched_->wake_at(woken, lat);
   if (lat > 0) sched_->sleep_for(lat);
   return result;

@@ -14,6 +14,7 @@
 // topology-shaped cost without a real network.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -237,7 +238,10 @@ class Net {
   /// Same, but placed in an explicit scheduler group. Under the parallel
   /// scheduler all communicators of one Net must share a group (the Net's
   /// matching tables are unlocked); this is the placement hook for
-  /// running several independent Nets on different workers.
+  /// running several independent Nets on different workers. In parallel
+  /// mode the Net binds to the group of its first communicator and
+  /// panics when a process of any other group spawns into it or
+  /// communicates on it; deterministic mode does not check.
   ProcessId spawn_process_in_group(runtime::GroupId gid, std::string name,
                                    std::function<void()> body);
 
@@ -274,10 +278,18 @@ class Net {
                   ProcessId me, ProcessId my_peer,
                   const std::vector<ProcessId>& my_peer_set,
                   std::type_index type) const;
+  /// Every send/recv/try_*/Alternative path looks here first, so this
+  /// is where confine() checks a communicating caller's group.
   std::vector<detail::PendingOp*> find_matches(
       detail::Dir my_dir, ProcessId me, ProcessId my_peer,
       const std::vector<ProcessId>& my_peer_set, const std::string& tag,
-      std::type_index type) const;
+      std::type_index type);
+
+  /// Parallel mode: bind this Net to `pid`'s group on first use and
+  /// panic if `pid` belongs to any other group (the one-Net-one-group
+  /// contract of spawn_process_in_group). Returns at once in
+  /// deterministic mode.
+  void confine(ProcessId pid);
 
   /// Park / unpark an offer in its tag bucket.
   void link(detail::PendingOp* op);
@@ -302,7 +314,14 @@ class Net {
   std::map<std::string, Bucket> pending_;
   std::size_t pending_count_ = 0;
   std::vector<bool> terminated_;  // indexed by ProcessId
+  // Plain, not atomic: confine() keeps every writer inside the bound
+  // group, whose fibers never run concurrently, and a reader after
+  // run() is ordered by run()'s quiescence hand-off to the caller.
   std::uint64_t rendezvous_count_ = 0;
+  // Group every communicator must belong to in parallel mode;
+  // kUnboundGroup until the first spawn or communication.
+  static constexpr auto kUnboundGroup = static_cast<runtime::GroupId>(-1);
+  std::atomic<runtime::GroupId> bound_group_{kUnboundGroup};
   // In-flight duplicates (FaultPlan::duplicate_message) are the one kind
   // of parked op with no fiber stack to live on; the Net owns them.
   std::vector<std::unique_ptr<detail::PendingOp>> ghosts_;

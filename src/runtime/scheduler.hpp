@@ -119,8 +119,11 @@ class Scheduler {
   /// Create a new scheduling group — the parallel mode's unit of
   /// placement and stealing (one performance / script instance /
   /// csp::Net per group; fibers of one group never run concurrently
-  /// with each other). In deterministic mode the grouping is recorded
-  /// but has no scheduling effect, so programs can be written once.
+  /// with each other). A csp::Net binds to the group of its first
+  /// communicator and panics on use from any other group in parallel
+  /// mode. In deterministic mode the grouping is recorded but has no
+  /// scheduling effect and is not checked, so programs can be written
+  /// once.
   GroupId new_group();
 
   /// spawn() into an explicit group. kInheritGroup behaves like spawn().

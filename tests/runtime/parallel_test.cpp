@@ -213,29 +213,50 @@ TEST(Parallel, SchedulerIsReusableAcrossRuns) {
 }
 
 TEST(Parallel, CspRendezvousStaysInsideOneGroup) {
+  // One Net per group, as net.hpp's spawn_process_in_group prescribes:
+  // each Net's unlocked tables are touched only by its own group, while
+  // the groups themselves spread over the workers.
   Scheduler sched(parallel_opts(4));
-  script::csp::Net net(sched);
   constexpr int kGroups = 6;
   constexpr int kMsgs = 20;
+  std::vector<std::unique_ptr<script::csp::Net>> nets;
   std::atomic<int> received{0};
   for (int g = 0; g < kGroups; ++g) {
+    nets.push_back(std::make_unique<script::csp::Net>(sched));
+    script::csp::Net& net = *nets.back();
     const GroupId gid = sched.new_group();
-    const ProcessId rx =
-        net.spawn_process_in_group(gid, "rx" + std::to_string(g), [&] {
+    const ProcessId rx = net.spawn_process_in_group(
+        gid, "rx" + std::to_string(g), [&net, &received] {
           for (int m = 0; m < kMsgs; ++m) {
             auto r = net.recv_any<int>("m");
             ASSERT_TRUE(r.has_value());
             received.fetch_add(1, std::memory_order_relaxed);
           }
         });
-    net.spawn_process_in_group(gid, "tx" + std::to_string(g), [&, rx] {
+    net.spawn_process_in_group(gid, "tx" + std::to_string(g), [&net, rx] {
       for (int m = 0; m < kMsgs; ++m) ASSERT_TRUE(net.send(rx, "m", m));
     });
   }
   EXPECT_TRUE(sched.run().ok());
   EXPECT_EQ(received.load(), kGroups * kMsgs);
-  EXPECT_EQ(net.rendezvous_count(),
-            static_cast<std::uint64_t>(kGroups * kMsgs));
+  // Each group's sender names its own receiver, so every Net completes
+  // exactly its own group's rendezvous.
+  for (const auto& net : nets)
+    EXPECT_EQ(net->rendezvous_count(), static_cast<std::uint64_t>(kMsgs));
+}
+
+TEST(ParallelDeathTest, NetSpanningTwoGroupsIsRefused) {
+  // A Net shared across groups would race on its unlocked tables; the
+  // Net binds to its first communicator's group and refuses the second.
+  // No worker thread exists yet (they start in run()), so forking for
+  // the death test is safe.
+  Scheduler sched(parallel_opts(2));
+  script::csp::Net net(sched);
+  const GroupId a = sched.new_group();
+  const GroupId b = sched.new_group();
+  net.spawn_process_in_group(a, "in_a", [] {});
+  EXPECT_DEATH(net.spawn_process_in_group(b, "in_b", [] {}),
+               "all communicators of one Net must share a group");
 }
 
 // ---- TSan stress targets ------------------------------------------------
