@@ -88,11 +88,6 @@ void EventBus::publish(Event e) {
     if (!s->dead && (s->mask & bit)) s->fn(e);
   }
   if (--publish_depth_ == 0 && has_dead_) compact_subs();
-  if (history_cap_ != 0 && e.pid != kNoPid) {
-    auto& ring = history_[e.pid];
-    ring.push_back(std::move(e));
-    if (ring.size() > history_cap_) ring.pop_front();
-  }
 }
 
 std::int32_t EventBus::add_lane(std::string name) {
@@ -109,20 +104,8 @@ const std::string& EventBus::lane_name(std::int32_t lane) const {
   return lanes_[static_cast<std::size_t>(lane)];
 }
 
-void EventBus::set_history(std::size_t per_fiber) {
-  const auto lk = maybe_lock();
-  history_cap_ = per_fiber;
-  if (per_fiber == 0) history_.clear();
-  recompute_wants();
-}
-
-const std::deque<Event>* EventBus::history_for(Pid pid) const {
-  const auto it = history_.find(pid);
-  return it == history_.end() ? nullptr : &it->second;
-}
-
 void EventBus::recompute_wants() {
-  Mask m = history_cap_ != 0 ? kAllSubsystems : 0;
+  Mask m = 0;
   for (const auto& s : subs_)
     if (!s->dead) m |= s->mask;
   wants_.store(m, std::memory_order_relaxed);

@@ -9,15 +9,11 @@
 //   * Self-describing lanes: script instances (and other non-fiber
 //     timelines) register named lanes; exporters map them to trace
 //     "threads".
-//   * Forensics: an optional ring of the last N events per fiber feeds
-//     deadlock reports ("how did this fiber get stuck?").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,15 +68,15 @@ class EventBus {
     return wants_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Deliver an event to every matching subscriber (and the history
-  /// ring). Stamps `time` via the clock when it is kAutoTime.
+  /// Deliver an event to every matching subscriber. Stamps `time` via
+  /// the clock when it is kAutoTime.
   void publish(Event e);
 
   std::uint64_t published_count() const {
     return published_.load(std::memory_order_relaxed);
   }
 
-  /// Serialize publish/subscribe/lane/history behind a recursive mutex
+  /// Serialize publish/subscribe/lane behind a recursive mutex
   /// (recursive because subscribers may publish). The parallel
   /// scheduler's workers publish concurrently; deterministic mode
   /// leaves this off and the bus stays lock-free as before.
@@ -92,16 +88,6 @@ class EventBus {
   std::int32_t add_lane(std::string name);
   const std::string& lane_name(std::int32_t lane) const;
   std::size_t lane_count() const { return lanes_.size(); }
-
-  // ---- Per-fiber history ring (deadlock forensics) ----
-
-  /// Keep the last `per_fiber` events of each fiber. While enabled the
-  /// bus listens to every subsystem (wants() turns true), so enable it
-  /// only when the forensics are worth the tracing cost. 0 disables.
-  void set_history(std::size_t per_fiber);
-  std::size_t history_capacity() const { return history_cap_; }
-  /// Most-recent-last events recorded for `pid` (empty if none).
-  const std::deque<Event>* history_for(Pid pid) const;
 
  private:
   // Subs live behind unique_ptr so publish() can hold a stable pointer
@@ -136,8 +122,6 @@ class EventBus {
   std::function<std::uint64_t()> clock_;
   std::function<void(Event&)> stamper_;
   std::vector<std::string> lanes_;
-  std::size_t history_cap_ = 0;
-  std::map<Pid, std::deque<Event>> history_;
 };
 
 }  // namespace script::obs

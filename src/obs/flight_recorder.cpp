@@ -1,11 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
+#include "support/io.hpp"
 
 namespace script::obs {
 
@@ -79,13 +79,7 @@ void FlightRecorder::on_event(const Event& e) {
   ring.next = (ring.next + 1) % ring.slots.size();
   ++ring.written;
   ++recorded_;
-
-  // Failure escalations the bus itself announces; deadlock comes in via
-  // a direct trigger_dump() call from Scheduler::run().
-  if (e.kind == EventKind::Instant &&
-      ((e.subsystem == Subsystem::Script && e.name == "performance.abort") ||
-       (e.subsystem == Subsystem::Recovery && e.name == "supervisor.give_up")))
-    trigger_dump(e.name);
+  if (is_escalation(e)) trigger_dump(e.name);
 }
 
 std::uint64_t FlightRecorder::dropped_events(Subsystem s) const {
@@ -160,7 +154,7 @@ std::string FlightRecorder::dump_json() const {
     metadata.emplace_back(key, std::move(rendered));
   };
   add_str("recorder", "flight");
-  add_str("trigger", last_trigger_.empty() ? "manual" : last_trigger_);
+  add_str("trigger", last_trigger().empty() ? "manual" : last_trigger());
   metadata.emplace_back("recorded_events", std::to_string(recorded_));
   metadata.emplace_back("dropped_events", std::to_string(dropped_events()));
   metadata.emplace_back("intern_overflow", std::to_string(intern_overflow_));
@@ -169,28 +163,12 @@ std::string FlightRecorder::dump_json() const {
 }
 
 bool FlightRecorder::dump(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = dump_json();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-std::string FlightRecorder::auto_dump_path(std::size_t n) const {
-  std::string path = opts_.dump_path;
-  if (n != 0) path += "." + std::to_string(n);
-  return path + ".flight.json";
+  return support::write_file(path, dump_json());
 }
 
 void FlightRecorder::trigger_dump(const std::string& why) {
-  ++triggers_;
-  last_trigger_ = why;
-  if (opts_.dump_path.empty() || auto_dumps_ >= opts_.max_auto_dumps) return;
-  const std::string path = auto_dump_path(auto_dumps_);
-  if (dump(path)) {
-    ++auto_dumps_;
-    last_dump_path_ = path;
-  }
+  dumps_.fire(opts_.dump_path, why,
+              [this](const std::string& path) { return dump(path); });
 }
 
 void FlightRecorder::export_metrics(MetricsRegistry& reg) const {
@@ -201,7 +179,7 @@ void FlightRecorder::export_metrics(MetricsRegistry& reg) const {
   sync("flightrecorder.recorded_events", recorded_);
   sync("flightrecorder.dropped_events", dropped_events());
   sync("flightrecorder.intern_overflow", intern_overflow_);
-  sync("flightrecorder.dump_triggers", triggers_);
+  sync("flightrecorder.dump_triggers", dumps_.triggers());
 }
 
 }  // namespace script::obs

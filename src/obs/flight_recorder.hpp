@@ -11,10 +11,9 @@
 // When something dies, the recorder turns its rings into a post-mortem
 // artifact: a Chrome trace-event JSON dump (the same renderer as
 // TraceExporter, so Perfetto opens it and trace_read parses it back).
-// Dumps fire automatically on the runtime's failure escalations —
-// `performance.abort`, `supervisor.give_up`, and deadlock detection
-// (the Scheduler calls trigger_dump() directly when run() ends in
-// deadlock) — or on demand via dump().
+// Dumps fire automatically on the runtime's failure escalations, under
+// the policy Timeline shares (obs/auto_dump.hpp), or on demand via
+// dump().
 //
 // Ring-wrap is not silent: overwritten records are tallied per
 // subsystem and surface as the `flightrecorder.dropped_events` counter
@@ -28,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/auto_dump.hpp"
 #include "obs/event_bus.hpp"
 
 namespace script::obs {
@@ -51,8 +51,6 @@ struct FlightRecorderOptions {
   /// "<base>[.n].flight.json". Empty disables auto-dumping (triggers
   /// are still counted).
   std::string dump_path;
-  /// Cap on automatic dumps, so a crash loop cannot fill the disk.
-  std::size_t max_auto_dumps = 4;
   /// Distinct strings the intern table accepts before new names fold
   /// into a single "<interned-overflow>" entry.
   std::size_t intern_capacity = 8192;
@@ -92,14 +90,14 @@ class FlightRecorder {
   bool dump(const std::string& path) const;
 
   /// Automatic-dump entry point: writes the next numbered dump file
-  /// (subject to max_auto_dumps) with `why` in the metadata. The
+  /// (at most AutoDump::kMaxDumps) with `why` in the metadata. The
   /// runtime calls this on failure escalations; tests may too.
   void trigger_dump(const std::string& why);
 
-  std::uint64_t triggers_seen() const { return triggers_; }
-  std::size_t auto_dumps_written() const { return auto_dumps_; }
-  const std::string& last_dump_path() const { return last_dump_path_; }
-  const std::string& last_trigger() const { return last_trigger_; }
+  std::uint64_t triggers_seen() const { return dumps_.triggers(); }
+  std::size_t auto_dumps_written() const { return dumps_.written(); }
+  const std::string& last_dump_path() const { return dumps_.last_path(); }
+  const std::string& last_trigger() const { return dumps_.last_trigger(); }
 
   /// Sync flightrecorder.* counters (recorded/dropped/intern-overflow)
   /// into `reg`. Idempotent, monotone.
@@ -129,7 +127,6 @@ class FlightRecorder {
   void on_event(const Event& e);
   std::uint16_t intern(const std::string& s);
   const std::string& resolve(std::uint16_t id) const;
-  std::string auto_dump_path(std::size_t n) const;
 
   EventBus* bus_;
   EventBus::SubId sub_;
@@ -141,10 +138,7 @@ class FlightRecorder {
   std::uint64_t seq_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t intern_overflow_ = 0;
-  std::uint64_t triggers_ = 0;
-  std::size_t auto_dumps_ = 0;
-  std::string last_dump_path_;
-  std::string last_trigger_;
+  AutoDump dumps_{".flight.json"};
 };
 
 }  // namespace script::obs

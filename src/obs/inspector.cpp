@@ -1,11 +1,11 @@
 #include "obs/inspector.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "obs/json.hpp"
 #include "obs/trace_read.hpp"
+#include "support/io.hpp"
 #include "support/panic.hpp"
 
 namespace script::obs {
@@ -46,11 +46,7 @@ std::string Inspector::snapshot_json() const {
 }
 
 bool Inspector::write_snapshot(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = snapshot_json() + "\n";
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return support::write_file(path, snapshot_json() + "\n");
 }
 
 namespace {

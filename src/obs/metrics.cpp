@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "support/io.hpp"
 #include "support/log.hpp"
 #include "support/panic.hpp"
 
@@ -270,12 +271,7 @@ std::string MetricsRegistry::expose_prometheus() const {
 }
 
 bool MetricsRegistry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = snapshot_json(2);
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return support::write_file(path, snapshot_json(2));
 }
 
 }  // namespace script::obs

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "support/io.hpp"
 
 namespace script::obs {
 
@@ -173,12 +174,7 @@ void Timeline::on_event(const Event& e) {
     }
   }
 
-  // Failure escalations the bus announces; deadlock arrives via a
-  // direct trigger_dump() call from Scheduler::run().
-  if (e.kind == EventKind::Instant &&
-      ((e.subsystem == Subsystem::Script && e.name == "performance.abort") ||
-       (e.subsystem == Subsystem::Recovery && e.name == "supervisor.give_up")))
-    trigger_dump(e.name);
+  if (is_escalation(e)) trigger_dump(e.name);
 }
 
 std::uint64_t Timeline::counter_total(const std::string& series) const {
@@ -309,23 +305,13 @@ std::string Timeline::dump_json(const std::string& trigger) const {
 
 bool Timeline::write(const std::string& path,
                      const std::string& trigger) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = dump_json(trigger);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return support::write_file(path, dump_json(trigger));
 }
 
 void Timeline::trigger_dump(const std::string& why) {
-  ++triggers_;
-  if (opts_.dump_path.empty() || auto_dumps_ >= opts_.max_auto_dumps) return;
-  std::string path = opts_.dump_path;
-  if (auto_dumps_ != 0) path += "." + std::to_string(auto_dumps_);
-  path += ".timeline.json";
-  if (write(path, why)) {
-    ++auto_dumps_;
-    last_dump_path_ = path;
-  }
+  dumps_.fire(opts_.dump_path, why, [&](const std::string& path) {
+    return write(path, why);
+  });
 }
 
 void Timeline::export_metrics(MetricsRegistry& reg) const {
@@ -337,7 +323,7 @@ void Timeline::export_metrics(MetricsRegistry& reg) const {
   sync("timeline.evicted_epochs", evicted_epochs_);
   sync("timeline.dropped_series_observations", dropped_);
   sync("timeline.recent_evicted", recent_evicted_);
-  sync("timeline.dump_triggers", triggers_);
+  sync("timeline.dump_triggers", dumps_.triggers());
   reg.gauge("timeline.series", static_cast<double>(series_count()));
 }
 

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/auto_dump.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
 
@@ -70,8 +71,6 @@ struct TimelineOptions {
   /// dump lands at "<base>[.n].timeline.json". Empty disables
   /// auto-dumping (triggers are still counted).
   std::string dump_path;
-  /// Cap on automatic dumps, so a crash loop cannot fill the disk.
-  std::size_t max_auto_dumps = 4;
 };
 
 class Timeline {
@@ -149,13 +148,13 @@ class Timeline {
              const std::string& trigger = {}) const;
 
   /// Automatic-dump entry point: writes the next numbered dump file
-  /// (subject to max_auto_dumps) with `why` in the metadata. Fires
-  /// itself on performance.abort / supervisor.give_up events; the
-  /// Scheduler calls it on deadlock.
+  /// (at most AutoDump::kMaxDumps) with `why` in the metadata. Fires
+  /// itself on the escalations the bus announces; the Scheduler calls
+  /// it on deadlock.
   void trigger_dump(const std::string& why);
-  std::uint64_t triggers_seen() const { return triggers_; }
-  std::size_t auto_dumps_written() const { return auto_dumps_; }
-  const std::string& last_dump_path() const { return last_dump_path_; }
+  std::uint64_t triggers_seen() const { return dumps_.triggers(); }
+  std::size_t auto_dumps_written() const { return dumps_.written(); }
+  const std::string& last_dump_path() const { return dumps_.last_path(); }
 
   /// Sync timeline.* counters (recorded/evicted/dropped) into `reg`.
   /// Idempotent, monotone.
@@ -224,9 +223,7 @@ class Timeline {
   std::uint64_t evicted_epochs_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t recent_evicted_ = 0;
-  std::uint64_t triggers_ = 0;
-  std::size_t auto_dumps_ = 0;
-  std::string last_dump_path_;
+  AutoDump dumps_{".timeline.json"};
 };
 
 /// Human rendering of a parsed timeline dump — behind `scriptctl

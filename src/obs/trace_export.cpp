@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "support/io.hpp"
+
 namespace script::obs {
 
 namespace {
@@ -257,12 +259,7 @@ std::string TraceExporter::json() const {
 }
 
 bool TraceExporter::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = json();
-  const bool ok =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return support::write_file(path, json());
 }
 
 }  // namespace script::obs

@@ -728,31 +728,7 @@ RunResult ParallelRuntime::run() {
     w->stack_cache.clear();
   }
   if (failure != nullptr) std::rethrow_exception(failure);
-  RunResult result;
-  result.final_time = sched_.now_;
-  result.steps = sched_.steps_;
-  const std::size_t n = sched_.fibers_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    Fiber& f = sched_.fibers_[i];
-    if (f.state() == FiberState::Blocked)
-      result.blocked.emplace_back(f.id(), f.block_reason());
-    SCRIPT_ASSERT(f.state() != FiberState::Sleeping,
-                  "sleeper left behind after clock drained");
-  }
-  result.outcome = result.blocked.empty() ? RunResult::Outcome::AllDone
-                                          : RunResult::Outcome::Deadlock;
-  if (result.outcome == RunResult::Outcome::Deadlock) {
-    if (sched_.bus_.wants(obs::Subsystem::Scheduler))
-      sched_.bus_.publish({obs::EventKind::Instant,
-                           obs::Subsystem::Scheduler, obs::kAutoTime,
-                           obs::kNoPid, obs::kNoLane, "deadlock", "",
-                           static_cast<double>(result.blocked.size())});
-    if (sched_.flight_ != nullptr) sched_.flight_->trigger_dump("deadlock");
-    if (sched_.timeline_ != nullptr)
-      sched_.timeline_->trigger_dump("deadlock");
-  }
-  sched_.service_debug();  // safepoint: run boundary
-  return result;
+  return sched_.finish_run({});
 }
 
 }  // namespace script::runtime

@@ -14,10 +14,10 @@
 //
 // What stays on the deterministic backend (asserted at run()): golden
 // traces / explore() (Scripted policy), FaultPlan injection, deadlines
-// and execution budgets, causal tracking, per-fiber event history,
-// health polling. The flight recorder, timeline, and debug endpoint
-// remain available — the EventBus runs in its locked mode and the
-// endpoint is serviced at run() boundaries only.
+// and execution budgets, causal tracking, health polling. The flight
+// recorder, timeline, and debug endpoint remain available — the
+// EventBus runs in its locked mode and the endpoint is serviced at
+// run() boundaries only.
 //
 // Synchronization protocol (the part worth reading twice):
 //   * Group mutex guards the group's ready queue and every member

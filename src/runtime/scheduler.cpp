@@ -23,6 +23,21 @@
 
 namespace script::runtime {
 
+namespace {
+
+/// "<base>" for the first scheduler of the process, "<base>.<n>" after.
+std::string exact_then_numbered(const std::string& base, int n) {
+  return n == 0 ? base : base + "." + std::to_string(n);
+}
+
+/// "<base>-<pid>-<n>": unique across processes that share one base.
+std::string pid_suffixed(const char* base, int n) {
+  return std::string(base) + "-" + std::to_string(getpid()) + "-" +
+         std::to_string(n);
+}
+
+}  // namespace
+
 std::string describe(const RunResult& result, const Scheduler& sched) {
   std::string out;
   switch (result.outcome) {
@@ -86,7 +101,6 @@ Scheduler::Scheduler(SchedulerOptions opts)
   // published once and worded here, keeping log and exporters in sync.
   obs::install_script_log_bridge(
       bus_, trace_, [this](obs::Pid p) { return name_of(p); });
-  if (opts_.event_history != 0) bus_.set_history(opts_.event_history);
   if (opts_.workers > 0) {
     // M:N work-stealing backend. Workers publish and recycle stacks
     // concurrently, so the bus and pool switch to their locked modes.
@@ -96,55 +110,56 @@ Scheduler::Scheduler(SchedulerOptions opts)
         *this, opts_.workers,
         opts_.group_quantum == 0 ? 128 : opts_.group_quantum);
   }
-  if (const char* path = std::getenv("SCRIPT_TRACE");
-      path != nullptr && *path != '\0' && opts_.workers == 0) {
-    // Tracing needs causal tracking, which the parallel mode rejects —
-    // env-armed tracing quietly stays off there.
-    enable_tracing();
-    trace_path_ = path;
-  }
-  if (const char* base = std::getenv("SCRIPT_FLIGHT");
-      base != nullptr && *base != '\0') {
-    // Parallel test shards share the env var: suffix the dump base with
-    // pid and a per-process sequence so artifacts never collide.
-    static int flight_seq = 0;
-    obs::FlightRecorderOptions fopts;
-    fopts.dump_path = std::string(base) + "-" + std::to_string(getpid()) +
-                      "-" + std::to_string(flight_seq++);
-    arm_flight_recorder(std::move(fopts));
-  }
-  if (const char* base = std::getenv("SCRIPT_TIMELINE");
-      base != nullptr && *base != '\0') {
-    // Same collision discipline as SCRIPT_FLIGHT. Dumps fire only on
-    // failure escalations, so a green test run leaves no files behind.
-    static int timeline_seq = 0;
-    obs::TimelineOptions topts;
-    topts.dump_path = std::string(base) + "-" + std::to_string(getpid()) +
-                      "-" + std::to_string(timeline_seq++);
-    arm_timeline(std::move(topts));
-  }
-  if (const char* path = std::getenv("SCRIPT_DEBUG_SOCK");
-      path != nullptr && *path != '\0') {
-    // First scheduler in the process gets the exact path (the common
-    // case a human attaches to); later ones get numbered siblings.
-    static int sock_seq = 0;
-    const int n = sock_seq++;
-    const std::string p =
-        n == 0 ? std::string(path)
-               : std::string(path) + "." + std::to_string(n);
-    if (!arm_debug_endpoint(p))
-      std::fprintf(stderr, "SCRIPT_DEBUG_SOCK: could not bind %s\n",
-                   p.c_str());
-  }
+  // Env-var arming, in row order: the endpoint arms a default timeline,
+  // so SCRIPT_TIMELINE comes first. Parallel test shards share the env
+  // vars, so names never collide: dump bases get "-<pid>-<n>"; the
+  // socket and the trace file (named when written, in ~Scheduler) keep
+  // the exact name for the first scheduler and ".<n>" after.
+  struct EnvArm {
+    const char* var;
+    void (*arm)(Scheduler& s, const char* value);
+  };
+  static const EnvArm kEnvArming[] = {
+      {"SCRIPT_TRACE",
+       [](Scheduler& s, const char* path) {
+         // Tracing needs causal tracking, which the parallel mode
+         // rejects — env-armed tracing quietly stays off there.
+         if (s.opts_.workers != 0) return;
+         s.enable_tracing();
+         s.trace_path_ = path;
+       }},
+      {"SCRIPT_FLIGHT",
+       [](Scheduler& s, const char* base) {
+         static int seq = 0;
+         obs::FlightRecorderOptions o;
+         o.dump_path = pid_suffixed(base, seq++);
+         s.arm_flight_recorder(std::move(o));
+       }},
+      {"SCRIPT_TIMELINE",
+       [](Scheduler& s, const char* base) {
+         static int seq = 0;
+         obs::TimelineOptions o;
+         o.dump_path = pid_suffixed(base, seq++);
+         s.arm_timeline(std::move(o));
+       }},
+      {"SCRIPT_DEBUG_SOCK",
+       [](Scheduler& s, const char* path) {
+         static int seq = 0;
+         const std::string p = exact_then_numbered(path, seq++);
+         if (!s.arm_debug_endpoint(p))
+           std::fprintf(stderr, "SCRIPT_DEBUG_SOCK: could not bind %s\n",
+                        p.c_str());
+       }},
+  };
+  for (const EnvArm& row : kEnvArming)
+    if (const char* v = std::getenv(row.var); v != nullptr && *v != '\0')
+      row.arm(*this, v);
 }
 
 Scheduler::~Scheduler() {
   if (exporter_ != nullptr && !trace_path_.empty()) {
-    // Several schedulers in one process (tests) get numbered files.
     static int seq = 0;
-    const int n = seq++;
-    const std::string path =
-        n == 0 ? trace_path_ : trace_path_ + "." + std::to_string(n);
+    const std::string path = exact_then_numbered(trace_path_, seq++);
     if (!write_trace(path))
       std::fprintf(stderr, "SCRIPT_TRACE: could not write %s\n",
                    path.c_str());
@@ -522,6 +537,10 @@ RunResult Scheduler::run() {
   }
 
   running_ = false;
+  return finish_run(result);
+}
+
+RunResult Scheduler::finish_run(RunResult result) {
   result.final_time = now_;
   result.steps = steps_;
   if (result.outcome == RunResult::Outcome::StepLimit) return result;

@@ -63,10 +63,6 @@ struct SchedulerOptions {
   /// StepLimit (fibers left unfinished). Lets the explorer bound
   /// non-terminating schedules (e.g. starving a busy-wait loop).
   std::uint64_t max_steps_per_run = 0;
-  /// If nonzero, keep the last N bus events per fiber and include them
-  /// in deadlock reports (describe()). Forces full event production, so
-  /// leave at 0 for benchmarks.
-  std::size_t event_history = 0;
   /// How many retired fiber stacks the scheduler's StackPool keeps for
   /// reuse (decommitted — address space, not RSS). 0 disables pooling.
   std::size_t stack_pool_max_idle = StackPool::kDefaultMaxIdle;
@@ -437,6 +433,10 @@ class Scheduler {
   void service_debug();
   /// Wire up the endpoint's command handlers (arm_debug_endpoint).
   void register_debug_handlers();
+  /// The end of both backends' run(): stamp time and steps; unless
+  /// stopped at the step limit, decide the outcome and, on deadlock,
+  /// publish `deadlock` and fire each recorder's dump.
+  RunResult finish_run(RunResult result);
 
   /// Fire every due fault of the installed plan. Crashes unwind the
   /// victim synchronously (see kill_now); returns true if anything

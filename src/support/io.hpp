@@ -1,5 +1,6 @@
 // Shared socket-syscall seam for everything in the runtime that does
-// real I/O (runtime::DebugEndpoint, runtime::TcpTransport).
+// real I/O (runtime::DebugEndpoint, runtime::TcpTransport), and the
+// whole-file write every dump and export goes through.
 //
 // Real networks deliver their failure modes — EINTR, short writes,
 // EAGAIN, torn connections — at syscall granularity, and unit tests
@@ -19,6 +20,8 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <string>
+
 namespace script::support {
 
 /// The raw socket calls, overridable for deterministic fault injection.
@@ -33,5 +36,9 @@ struct IoHooks {
 /// Process-wide hook table. Tests that swap entries must restore them
 /// (the DebugEndpointIo/TcpTransportIo fixtures do this in TearDown).
 extern IoHooks io;
+
+/// Write `body` to `path`, replacing it: the one file write behind every
+/// dump and export. False if the file cannot be opened, written or closed.
+bool write_file(const std::string& path, const std::string& body);
 
 }  // namespace script::support

@@ -11,13 +11,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "csp/net.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/health.hpp"
 #include "obs/inspector.hpp"
 #include "obs/json.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace_read.hpp"
 #include "runtime/debug_endpoint.hpp"
 #include "runtime/scheduler.hpp"
 #include "script/instance.hpp"
@@ -116,53 +120,76 @@ TEST(TimelineIntegration, SeededReplaysProduceByteIdenticalDumps) {
 }
 
 TEST(TimelineIntegration, DeadlockTriggersTimelineAutoDump) {
+  EnvVarGuard flight_guard("SCRIPT_FLIGHT");
   EnvVarGuard tl_guard("SCRIPT_TIMELINE");
   EnvVarGuard sock_guard("SCRIPT_DEBUG_SOCK");
-  const std::string base = ::testing::TempDir() + "deadlock_tl";
-  Scheduler sched;
-  obs::TimelineOptions topts;
-  topts.dump_path = base;
-  sched.arm_timeline(std::move(topts));
+  // Both backends end a stuck run through the same deadlock escalation:
+  // each armed recorder writes exactly one dump, stamped "deadlock".
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const std::string base =
+        ::testing::TempDir() + "deadlock_w" + std::to_string(workers);
+    SchedulerOptions opts;
+    opts.workers = workers;
+    Scheduler sched(opts);
+    obs::FlightRecorderOptions fopts;
+    fopts.dump_path = base;
+    sched.arm_flight_recorder(std::move(fopts));
+    obs::TimelineOptions topts;
+    topts.dump_path = base;
+    sched.arm_timeline(std::move(topts));
 
-  // A fiber that blocks with nobody to wake it: the run ends in
-  // deadlock, and the scheduler fires the timeline's failure dump.
-  sched.spawn("stuck", [&] { sched.block("waiting for godot"); });
-  EXPECT_FALSE(sched.run().ok());
+    // A fiber that blocks with nobody to wake it.
+    sched.spawn("stuck", [&] { sched.block("waiting for godot"); });
+    EXPECT_EQ(sched.run().outcome,
+              script::runtime::RunResult::Outcome::Deadlock);
 
-  EXPECT_EQ(sched.timeline()->auto_dumps_written(), 1u);
-  const std::string path = base + ".timeline.json";
-  EXPECT_EQ(sched.timeline()->last_dump_path(), path);
-  std::string text;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
+    const std::string flight = base + ".flight.json";
+    const std::string timeline = base + ".timeline.json";
+    EXPECT_EQ(sched.flight_recorder()->auto_dumps_written(), 1u);
+    EXPECT_EQ(sched.flight_recorder()->last_dump_path(), flight);
+    EXPECT_EQ(sched.timeline()->auto_dumps_written(), 1u);
+    EXPECT_EQ(sched.timeline()->last_dump_path(), timeline);
+    EXPECT_FALSE(std::ifstream(base + ".1.flight.json").good());
+    EXPECT_FALSE(std::ifstream(base + ".1.timeline.json").good());
+
+    const auto flight_dump = obs::read_trace_file(flight);
+    ASSERT_TRUE(flight_dump.has_value());
+    EXPECT_EQ(flight_dump->metadata.at("trigger"), "deadlock");
+    std::ifstream in(timeline);
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    const auto doc = obs::json::parse(text);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->str_or("trigger", ""), "deadlock");
+    std::remove(flight.c_str());
+    std::remove(timeline.c_str());
   }
-  const auto doc = obs::json::parse(text);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->str_or("trigger", ""), "deadlock");
-  std::remove(path.c_str());
 }
 
 TEST(TimelineIntegration, EnvVarsArmTimelineAndEndpointAtConstruction) {
-  EnvVarGuard tl_guard("SCRIPT_TIMELINE");      // restores CI's values
-  EnvVarGuard sock_guard("SCRIPT_DEBUG_SOCK");  // when the test ends
+  EnvVarGuard flight_guard("SCRIPT_FLIGHT");    // restores CI's values
+  EnvVarGuard tl_guard("SCRIPT_TIMELINE");      // when the test ends
+  EnvVarGuard sock_guard("SCRIPT_DEBUG_SOCK");
+  const std::string flight_base = ::testing::TempDir() + "env_flight";
   const std::string base = ::testing::TempDir() + "env_tl";
   const std::string sock = ::testing::TempDir() + "env_dbg.sock";
+  ASSERT_EQ(setenv("SCRIPT_FLIGHT", flight_base.c_str(), 1), 0);
   ASSERT_EQ(setenv("SCRIPT_TIMELINE", base.c_str(), 1), 0);
   ASSERT_EQ(setenv("SCRIPT_DEBUG_SOCK", sock.c_str(), 1), 0);
   {
     Scheduler sched;
+    EXPECT_TRUE(sched.flight_recorder_armed());
     EXPECT_TRUE(sched.timeline_armed());
     EXPECT_TRUE(sched.debug_endpoint_armed());
     // Auto-dump paths are per-process and per-scheduler, so parallel
     // test shards never collide.
-    EXPECT_NE(sched.timeline()->options().dump_path.find(
-                  std::to_string(getpid())),
-              std::string::npos);
+    const std::string pid_tag = "-" + std::to_string(getpid()) + "-";
+    EXPECT_EQ(sched.flight_recorder()->options().dump_path.rfind(
+                  flight_base + pid_tag, 0),
+              0u);
+    EXPECT_EQ(sched.timeline()->options().dump_path.rfind(base + pid_tag, 0),
+              0u);
 
     // A second scheduler in the same process gets a suffixed socket.
     Scheduler second;

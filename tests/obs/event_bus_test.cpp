@@ -1,5 +1,5 @@
-// EventBus: subscription masks, dispatch order, wants() gating, lanes,
-// and the per-fiber history ring.
+// EventBus: subscription masks, dispatch order, wants() gating and
+// lanes.
 #include "obs/event_bus.hpp"
 
 #include <gtest/gtest.h>
@@ -176,28 +176,6 @@ TEST(EventBusTest, NestedPublishFromSubscriberDelivers) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "inner");  // nested dispatch completes first
   EXPECT_EQ(seen[1], "outer");
-}
-
-TEST(EventBusTest, HistoryRingKeepsLastNPerFiber) {
-  EventBus bus;
-  bus.set_history(2);
-  EXPECT_TRUE(bus.enabled());  // history forces full production
-
-  for (int i = 0; i < 5; ++i)
-    bus.publish(make(Subsystem::User, "e" + std::to_string(i), 3));
-  bus.publish(make(Subsystem::User, "other", 9));
-
-  const auto* ring = bus.history_for(3);
-  ASSERT_NE(ring, nullptr);
-  ASSERT_EQ(ring->size(), 2u);
-  EXPECT_EQ((*ring)[0].name, "e3");
-  EXPECT_EQ((*ring)[1].name, "e4");
-  ASSERT_NE(bus.history_for(9), nullptr);
-  EXPECT_EQ(bus.history_for(123), nullptr);
-
-  bus.set_history(0);
-  EXPECT_EQ(bus.history_for(3), nullptr);
-  EXPECT_FALSE(bus.enabled());
 }
 
 }  // namespace

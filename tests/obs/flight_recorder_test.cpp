@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -188,7 +189,6 @@ TEST(FlightRecorderTest, AutoDumpsOnFailureEscalations) {
   EventBus bus;
   FlightRecorderOptions opts;
   opts.dump_path = base;
-  opts.max_auto_dumps = 2;
   FlightRecorder rec(bus, opts);
 
   bus.publish(make(Subsystem::Script, "enroll.ok"));
@@ -202,16 +202,28 @@ TEST(FlightRecorderTest, AutoDumpsOnFailureEscalations) {
   EXPECT_EQ(rec.auto_dumps_written(), 2u);
   EXPECT_EQ(rec.last_dump_path(), base + ".1.flight.json");
 
-  // The cap holds: further escalations count but write nothing.
+  // Fill up to the cap, then past it: further escalations count but
+  // write nothing.
+  constexpr std::size_t kCap = script::obs::AutoDump::kMaxDumps;
+  for (std::size_t n = 2; n < kCap; ++n)
+    bus.publish(make(Subsystem::Script, "performance.abort"));
+  EXPECT_EQ(rec.auto_dumps_written(), kCap);
+  const std::string last = base + "." + std::to_string(kCap - 1) +
+                           ".flight.json";
+  EXPECT_EQ(rec.last_dump_path(), last);
   bus.publish(make(Subsystem::Script, "performance.abort"));
-  EXPECT_EQ(rec.triggers_seen(), 3u);
-  EXPECT_EQ(rec.auto_dumps_written(), 2u);
+  EXPECT_EQ(rec.triggers_seen(), kCap + 1);
+  EXPECT_EQ(rec.auto_dumps_written(), kCap);
+  EXPECT_EQ(rec.last_dump_path(), last);
+  const std::string past = base + "." + std::to_string(kCap) + ".flight.json";
+  EXPECT_FALSE(std::ifstream(past).good());
 
   const auto dumped = script::obs::read_trace_file(base + ".flight.json");
   ASSERT_TRUE(dumped.has_value());
   EXPECT_EQ(dumped->metadata.at("trigger"), "performance.abort");
   std::remove((base + ".flight.json").c_str());
-  std::remove((base + ".1.flight.json").c_str());
+  for (std::size_t n = 1; n < kCap; ++n)
+    std::remove((base + "." + std::to_string(n) + ".flight.json").c_str());
 }
 
 TEST(FlightRecorderTest, ManualTriggerWithoutPathOnlyCounts) {

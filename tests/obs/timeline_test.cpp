@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "obs/json.hpp"
@@ -216,7 +217,6 @@ TEST(TimelineTest, AutoDumpsOnFailureEscalationsWithCap) {
   EventBus bus;
   TimelineOptions opts;
   opts.dump_path = base;
-  opts.max_auto_dumps = 2;
   Timeline tl(bus, opts);
 
   bus.publish(make(Subsystem::Script, "enroll.ok", 1));
@@ -231,10 +231,22 @@ TEST(TimelineTest, AutoDumpsOnFailureEscalationsWithCap) {
   EXPECT_EQ(tl.auto_dumps_written(), 2u);
   EXPECT_EQ(tl.last_dump_path(), base + ".1.timeline.json");
 
-  // The cap holds: further escalations count but write nothing.
-  bus.publish(make(Subsystem::Script, "performance.abort", 4));
-  EXPECT_EQ(tl.triggers_seen(), 3u);
-  EXPECT_EQ(tl.auto_dumps_written(), 2u);
+  // Fill up to the cap, then past it: further escalations count but
+  // write nothing.
+  constexpr std::size_t kCap = script::obs::AutoDump::kMaxDumps;
+  for (std::size_t n = 2; n < kCap; ++n)
+    bus.publish(make(Subsystem::Script, "performance.abort", 4));
+  EXPECT_EQ(tl.auto_dumps_written(), kCap);
+  const std::string last = base + "." + std::to_string(kCap - 1) +
+                           ".timeline.json";
+  EXPECT_EQ(tl.last_dump_path(), last);
+  bus.publish(make(Subsystem::Script, "performance.abort", 5));
+  EXPECT_EQ(tl.triggers_seen(), kCap + 1);
+  EXPECT_EQ(tl.auto_dumps_written(), kCap);
+  EXPECT_EQ(tl.last_dump_path(), last);
+  const std::string past =
+      base + "." + std::to_string(kCap) + ".timeline.json";
+  EXPECT_FALSE(std::ifstream(past).good());
 
   const auto dumped = script::obs::json::parse([&] {
     std::string text;
@@ -249,7 +261,8 @@ TEST(TimelineTest, AutoDumpsOnFailureEscalationsWithCap) {
   ASSERT_TRUE(dumped.has_value());
   EXPECT_EQ(dumped->str_or("trigger", ""), "performance.abort");
   std::remove((base + ".timeline.json").c_str());
-  std::remove((base + ".1.timeline.json").c_str());
+  for (std::size_t n = 1; n < kCap; ++n)
+    std::remove((base + "." + std::to_string(n) + ".timeline.json").c_str());
 }
 
 TEST(TimelineTest, DeclaredLanesAppearInDumpsBeforeAnyEvent) {
