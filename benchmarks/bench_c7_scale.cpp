@@ -12,20 +12,7 @@
 #include "bench_util.hpp"
 #include "scripts/broadcast.hpp"
 
-#include <chrono>
-
-namespace {
-
-double wall_us(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-}  // namespace
+using bench::wall_us;
 
 int main() {
   bench::banner("C7", "substrate scalability: fibers, rendezvous, casts");

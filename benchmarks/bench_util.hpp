@@ -6,8 +6,10 @@
 // in bench_c5_ablation with google-benchmark.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
 #include "csp/net.hpp"
@@ -33,6 +35,16 @@ inline void note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
 }
 
+/// Wall-clock microseconds `fn` takes.
+inline double wall_us(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 /// Asserts the run ended cleanly; prints blocked fibers otherwise.
 inline void expect_clean(const script::runtime::RunResult& result,
                          const Scheduler& sched) {
@@ -55,6 +67,7 @@ class Telemetry {
   explicit Telemetry(std::string name) : name_(std::move(name)) {}
   ~Telemetry() { write(); }
 
+  const std::string& name() const { return name_; }
   script::obs::MetricsRegistry& metrics() { return reg_; }
   void gauge(const std::string& key, double v) { reg_.gauge(key, v); }
 

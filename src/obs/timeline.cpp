@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -12,6 +13,12 @@ namespace script::obs {
 namespace {
 
 const char* kOverflowSeries = "<series-overflow>";
+
+void insert_lane(std::vector<std::int32_t>& lanes, std::int32_t lane) {
+  if (lane == kNoLane) return;
+  auto it = std::lower_bound(lanes.begin(), lanes.end(), lane);
+  if (it == lanes.end() || *it != lane) lanes.insert(it, lane);
+}
 
 const char* kind_name(EventKind k) {
   switch (k) {
@@ -37,13 +44,10 @@ std::uint64_t Timeline::stamp(const Event& e) const {
   return clock_ ? clock_() : 0;
 }
 
-void Timeline::note_lane(std::int32_t lane) {
-  if (lane == kNoLane) return;
-  auto it = std::lower_bound(lanes_seen_.begin(), lanes_seen_.end(), lane);
-  if (it == lanes_seen_.end() || *it != lane) lanes_seen_.insert(it, lane);
+void Timeline::declare_lane(std::int32_t lane) {
+  const std::lock_guard<std::mutex> lk(declared_mu_);
+  insert_lane(lanes_declared_, lane);
 }
-
-void Timeline::declare_lane(std::int32_t lane) { note_lane(lane); }
 
 template <typename Map, typename Series>
 Series& Timeline::series_in(Map& map, const std::string& key) {
@@ -113,7 +117,7 @@ void Timeline::observe_value(const std::string& series, std::uint64_t now,
 void Timeline::on_event(const Event& e) {
   ++recorded_;
   const std::uint64_t t = stamp(e);
-  note_lane(e.lane);
+  insert_lane(lanes_seen_, e.lane);
 
   // Per-subsystem rate, always.
   bump(std::string("events.") + subsystem_name(e.subsystem), t);
@@ -239,8 +243,15 @@ std::string Timeline::dump_json(const std::string& trigger) const {
   w.key("dropped_series_observations").value(dropped_);
   w.key("recent_evicted").value(recent_evicted_);
 
+  std::vector<std::int32_t> lanes;
+  {
+    const std::lock_guard<std::mutex> lk(declared_mu_);
+    std::set_union(lanes_seen_.begin(), lanes_seen_.end(),
+                   lanes_declared_.begin(), lanes_declared_.end(),
+                   std::back_inserter(lanes));
+  }
   w.key("lanes").object();
-  for (const std::int32_t lane : lanes_seen_) {
+  for (const std::int32_t lane : lanes) {
     w.key(std::to_string(lane));
     w.value(lane_namer_ ? lane_namer_(lane) : std::string());
   }

@@ -34,13 +34,14 @@
 // The default mask excludes the Scheduler subsystem for the same reason
 // the flight recorder's does: per-dispatch lifecycle spans cost ~7% on
 // churn workloads, and an always-on recorder must stay under the <3%
-// ceiling bench_timeline_overhead gates in CI.
+// ceiling CI gates on bench_overhead's timeline.overhead_pct.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -94,7 +95,8 @@ class Timeline {
   /// Ensure `lane` appears in dumps even before its first event — a
   /// script instance announces its series identity at lane
   /// registration, so an idle script is visibly idle rather than
-  /// absent.
+  /// absent. Thread-safe: parallel-mode workers call it outside the bus
+  /// lock.
   void declare_lane(std::int32_t lane);
 
   const TimelineOptions& options() const { return opts_; }
@@ -199,7 +201,6 @@ class Timeline {
   CounterSeries& counter_series(const std::string& key);
   template <typename Map, typename Series>
   Series& series_in(Map& map, const std::string& key);
-  void note_lane(std::int32_t lane);
 
   EventBus* bus_;
   EventBus::SubId sub_;
@@ -210,7 +211,13 @@ class Timeline {
   std::map<std::string, CounterSeries> counters_;
   std::map<std::string, GaugeSeries> gauges_;
   std::map<std::string, ValueSeries> values_;
-  std::vector<std::int32_t> lanes_seen_;  // sorted unique
+  std::vector<std::int32_t> lanes_seen_;  // sorted unique, by on_event
+  // Lanes announced by declare_lane(), which runs on whichever worker
+  // creates a script's lane and so holds no bus lock; they live apart
+  // under their own mutex (on_event's path stays lock-free), and dumps
+  // merge the two sets.
+  mutable std::mutex declared_mu_;
+  std::vector<std::int32_t> lanes_declared_;  // sorted unique
 
   // Derived-latency bookkeeping, same event grammar the HealthMonitor
   // speaks: enroll.attempt → enroll.ok per (lane, pid), performance

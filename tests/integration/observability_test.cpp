@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "env_var_guard.hpp"
 #include "lockdb/lock_table.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/inspector.hpp"
@@ -74,6 +75,10 @@ std::vector<std::string> keys_of(const std::vector<obs::Event>& events,
 }
 
 TEST(ObservabilityIntegration, FlightDumpMatchesGoldenTraceOfSameSchedule) {
+  // Env-armed tracing or a default-mask flight recorder would win over
+  // the options below (arming is idempotent) and change both streams.
+  EnvVarGuard trace_guard("SCRIPT_TRACE");
+  EnvVarGuard flight_guard("SCRIPT_FLIGHT");
   // Run A — the golden run: full tracing AND the recorder armed, so we
   // get the authoritative event stream alongside the black box. Both
   // recorders ring every subsystem (the default budgets the Scheduler's

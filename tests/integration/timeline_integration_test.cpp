@@ -16,6 +16,7 @@
 #include <string>
 
 #include "csp/net.hpp"
+#include "env_var_guard.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/health.hpp"
 #include "obs/inspector.hpp"
@@ -40,33 +41,6 @@ using script::runtime::SchedulerOptions;
 using script::runtime::SchedulePolicy;
 
 namespace obs = script::obs;
-
-/// CI arms every scheduler via $SCRIPT_TIMELINE / $SCRIPT_DEBUG_SOCK,
-/// and arming is idempotent — tests that need their own TimelineOptions
-/// or socket path must run with the env vars cleared (restored after).
-class EnvVarGuard {
- public:
-  explicit EnvVarGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv(name);
-  }
-  ~EnvVarGuard() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-  EnvVarGuard(const EnvVarGuard&) = delete;
-  EnvVarGuard& operator=(const EnvVarGuard&) = delete;
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 // A small script workload with sleeps (so the virtual clock moves and
 // epochs turn over) and several performances per run.

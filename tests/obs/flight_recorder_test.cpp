@@ -56,7 +56,7 @@ TEST(FlightRecorderTest, RecordsAndDecodesInPublishOrder) {
 TEST(FlightRecorderTest, DefaultMaskExcludesSchedulerDispatchRing) {
   // The always-on default must stay under the CI overhead gate: the
   // Scheduler's per-dispatch spans are the one subsystem priced out
-  // (bench_flight_overhead measures both configs).
+  // (bench_overhead measures both configs).
   const FlightRecorderOptions defaults;
   EXPECT_EQ(defaults.mask & EventBus::mask_of(Subsystem::Scheduler), 0u);
   EXPECT_NE(defaults.mask & EventBus::mask_of(Subsystem::Script), 0u);
